@@ -121,11 +121,9 @@ impl Deck {
     }
 
     /// The initial hydrodynamic state this deck describes, on `mesh`
-    /// (the deck's own mesh or a clone of it). The one constructor the
-    /// serial engine and the post-run assembled view both use, so the
-    /// deck-to-state mapping cannot silently diverge between them; the
-    /// distributed ranks apply the same mapping through their
-    /// local-to-global index tables.
+    /// (the deck's own mesh or a clone of it): the simulation's
+    /// whole-mesh starting state, which a distributed team scatters
+    /// onto its ranks through their local-to-global index tables.
     pub fn initial_state(&self, mesh: &Mesh) -> bookleaf_util::Result<bookleaf_hydro::HydroState> {
         bookleaf_hydro::HydroState::new(
             mesh,

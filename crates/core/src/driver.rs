@@ -11,15 +11,17 @@
 //! end procedure
 //! ```
 //!
-//! [`run_loop`] is the one loop every executor drives: the serial
-//! engine and the distributed ranks both call it, injecting their halo
-//! hooks, the dt reduction, and (optionally) a [`LoopWatch`] through
-//! which the simulation's observers fire at run/step/phase boundaries.
+//! [`run_loop`] is the one loop every executor drives: each piece of
+//! the rank team (the serial team of one included) calls it, injecting
+//! its halo hooks, the dt reduction, and (optionally) a [`LoopWatch`]
+//! through which the simulation's observers fire at run/step/phase
+//! boundaries.
 //!
 
 use bookleaf_ale::{RemapOverlap, Remapper};
 use bookleaf_eos::MaterialTable;
 use bookleaf_hydro::getdt::getdt;
+use bookleaf_hydro::getpc::getpc;
 use bookleaf_hydro::{lagstep_timed, HaloOps, HydroState, KernelSplit, LocalRange};
 use bookleaf_mesh::{Mesh, OverlapSets};
 use bookleaf_util::{BookLeafError, HealthDiagnosis, HealthField, KernelId, Result, TimerRegistry};
@@ -231,6 +233,20 @@ pub fn run_loop<H: HaloOps>(
                         timers.time(KernelId::Comms, || halo.post_remap(mesh, state))?;
                     }
                 }
+                // The remap rewrote ρ and ε everywhere (ghosts included,
+                // once the exchange completed): re-derive p and c² from
+                // them, so that — as after a Lagrangian step — the state
+                // at the step boundary is a pure function of the
+                // checkpointed fields, which is what a resume re-derives.
+                timers.time(KernelId::GetPc, || {
+                    getpc(
+                        mesh,
+                        materials,
+                        state,
+                        LocalRange::whole(mesh),
+                        config.lag.threading,
+                    );
+                });
                 if let Some(w) = watch {
                     let view = mid_view(w, steps, t + dt, dt, mesh, state, range);
                     w.observers.phase_end(StepPhase::Remap, &view);

@@ -1,5 +1,11 @@
-//! Distributed execution: the paper's flat-MPI and hybrid models.
+//! The rank team behind every executor.
 //!
+//! A simulation is advanced by a team of `RankState` pieces that
+//! lives between calls:
+//!
+//! * **Serial** — a team of one: the whole mesh as a single piece,
+//!   advanced inline on the caller's thread with
+//!   [`SerialHooks`](crate::halo::SerialHooks).
 //! * **Flat MPI** — one rank (thread) per simulated core; kernels run
 //!   serially inside each rank; all parallelism comes from the domain
 //!   decomposition. This is the reference code's default and the paper's
@@ -10,24 +16,34 @@
 //!   conflict-free gather rewrite is selected (`AccMode`), mirroring
 //!   §IV-B.
 //!
-//! Both use real message passing (Typhon) with the two halo-exchange
-//! phases and the single global dt reduction per step. Results are
-//! assembled back into global element/node order so validation code can
-//! compare executors directly.
+//! Like BookLeaf, a distributed team decomposes the mesh once: the first
+//! call partitions it, builds the submeshes and scatters the
+//! simulation's global view onto the pieces. Every later call only
+//! spawns the Typhon rank threads over the kept pieces (scoped threads:
+//! none outlives the call), rebuilds the cheap halo plan, runs the
+//! shared loop from the pieces' cursor with the two halo-exchange phases
+//! and the single global dt reduction per step, and gathers the owned
+//! entities back into the global view, so validation code can compare
+//! executors directly. Segmented runs are therefore bitwise identical to
+//! unsegmented ones. A failed call drops the team, and so does a call
+//! that finishes the run; a further call scatters the global view — the
+//! last successful call's state, or a restored checkpoint — into a
+//! fresh team.
 //!
-//! This module is driven through [`crate::Simulation`]. Observer hooks
-//! fire on every rank with the rank's partition view, and the run's
-//! energy accounting counts each owned element and owned node exactly
-//! once across the team.
+//! Observer hooks fire on every rank with the rank's partition view, and
+//! the run's energy accounting counts each owned element and owned node
+//! exactly once across the team.
 
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 use bookleaf_ale::Remapper;
-use bookleaf_hydro::{HydroState, LocalRange, Threading};
-use bookleaf_mesh::{Mesh, SubMesh, SubMeshPlan};
+use bookleaf_eos::MaterialTable;
+use bookleaf_hydro::{HaloOps, HydroState, LocalRange, Threading};
+use bookleaf_mesh::{Mesh, OverlapSets, SubMesh, SubMeshPlan};
 use bookleaf_partition::{partition, Strategy};
-use bookleaf_typhon::{CommStats, Typhon, TyphonOptions};
-use bookleaf_util::{BookLeafError, Result, TimerReport, Vec2};
+use bookleaf_typhon::{CommStats, RankCtx, Typhon, TyphonOptions};
+use bookleaf_util::{BookLeafError, Result, TimerRegistry, TimerReport};
 
 use crate::config::{ExecutorKind, RunConfig};
 use crate::decks::Deck;
@@ -37,194 +53,212 @@ use crate::observer::{LoopWatch, ObserverSet};
 use crate::output::Snapshot;
 use crate::report::RunReport;
 
-/// The solution fields a distributed run assembles back into global
-/// element/node order — the full checkpointable field set, so a
-/// distributed run can be checkpointed (and re-resumed at any shape)
-/// from its assembled view.
-#[derive(Debug, Clone)]
-pub(crate) struct Assembled {
-    pub rho: Vec<f64>,
-    pub ein: Vec<f64>,
-    pub pressure: Vec<f64>,
-    pub u: Vec<Vec2>,
-    pub nodes: Vec<Vec2>,
-    pub mass: Vec<f64>,
-    pub q: Vec<f64>,
-    pub nd_mass: Vec<f64>,
-    pub cnmass: Vec<[f64; 4]>,
-    /// The team's loop cursor after the run (identical on every rank).
+/// One rank's piece of the problem, kept between calls.
+#[derive(Debug)]
+pub(crate) struct RankState {
+    /// Local↔global maps, ownership and exchange lists; its `mesh` is
+    /// the live local mesh. A team of one's piece is
+    /// [`SubMesh::whole`].
+    pub sub: SubMesh,
+    /// The live local state (owned elements first, then ghosts).
+    pub state: HydroState,
+    /// The remapper, holding the piece's deck-initial node positions
+    /// (the Eulerian target).
+    remapper: Option<Remapper>,
+    /// The piston with local node ids, if any land on this piece.
+    piston: Option<LocalPiston>,
+    /// Interior/boundary classification for the overlapped schedule.
+    overlap: Option<OverlapSets>,
+    /// Where the next call continues from.
     pub cursor: LoopState,
 }
 
-struct RankOut {
-    rank: usize,
-    rho: Vec<f64>,
-    ein: Vec<f64>,
-    pressure: Vec<f64>,
-    mass: Vec<f64>,
-    q: Vec<f64>,
-    cnmass: Vec<[f64; 4]>,
-    u_owned: Vec<(u32, Vec2)>,
-    x_owned: Vec<(u32, Vec2)>,
-    nd_mass_owned: Vec<(u32, f64)>,
-    steps: usize,
-    time: f64,
-    dt_prev: Option<f64>,
-    timers: TimerReport,
-    comm: CommStats,
-    /// Globally reduced start/end energies (identical on every rank).
-    energy_start: f64,
-    energy_end: f64,
-}
-
-/// The distributed run machinery behind [`crate::Simulation`]:
-/// partition, spawn the rank team, run the shared loop (observers
-/// firing per rank), assemble the global solution and the unified
-/// report.
-///
-/// With `resume` set, every rank scatters its *owned* entities from the
-/// (global) checkpoint state, fills its ghosts through the one-shot
-/// `restore` halo exchange, re-derives the dependent fields, and
-/// continues the loop from the checkpoint's cursor — this is how a
-/// serial (or any-shape) checkpoint repartitions onto this executor's
-/// rank count.
-pub(crate) fn run_with_observers(
-    deck: &Deck,
-    config: &RunConfig,
-    observers: &ObserverSet,
-    resume: Option<&Snapshot>,
-    typhon: &TyphonOptions,
-) -> Result<(RunReport, Assembled)> {
-    let (ranks, threads_per_rank) = match config.executor {
-        ExecutorKind::FlatMpi { ranks } => (ranks, 0),
-        ExecutorKind::Hybrid {
-            ranks,
-            threads_per_rank,
-        } => (ranks, threads_per_rank),
-        ExecutorKind::Serial => {
-            return Err(BookLeafError::InvalidDeck(
-                "distributed run requested with the serial executor".into(),
-            ))
-        }
-    };
-    deck.validate()?;
-    let owner = partition(&deck.mesh, ranks, Strategy::Rcb)?;
-    let subs = SubMeshPlan::build(&deck.mesh, &owner, ranks)?;
-
-    let mut rank_config = *config;
-    rank_config.lag.threading = if threads_per_rank > 1 {
-        Threading::Rayon
-    } else {
-        Threading::Serial
-    };
-
-    let start = std::time::Instant::now();
-    let results: Vec<Result<RankOut>> = Typhon::run_with(ranks, typhon.clone(), |ctx| {
-        let sub = &subs[ctx.rank()];
-        let body =
-            || -> Result<RankOut> { run_rank(ctx, sub, deck, &rank_config, observers, resume) };
-        if threads_per_rank > 1 {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads_per_rank)
-                .build()
-                .map_err(|e| BookLeafError::Comm(format!("rayon pool: {e}")))?;
-            pool.install(body)
-        } else {
-            body()
-        }
-    })?;
-    let wall = start.elapsed().as_secs_f64();
-
-    // Assemble.
-    let ne = deck.mesh.n_elements();
-    let nn = deck.mesh.n_nodes();
-    let mut fields = Assembled {
-        rho: vec![0.0; ne],
-        ein: vec![0.0; ne],
-        pressure: vec![0.0; ne],
-        u: vec![Vec2::ZERO; nn],
-        nodes: vec![Vec2::ZERO; nn],
-        mass: vec![0.0; ne],
-        q: vec![0.0; ne],
-        nd_mass: vec![0.0; nn],
-        cnmass: vec![[0.0; 4]; ne],
-        cursor: LoopState::default(),
-    };
-    let mut report = RunReport {
-        name: deck.name.to_string(),
-        executor: config.executor,
-        ranks,
-        steps: 0,
-        time: 0.0,
-        wall_seconds: wall,
-        timers: TimerReport::zero(),
-        comm: CommStats::default(),
-        energy_start: 0.0,
-        energy_end: 0.0,
-        recovery: crate::resilience::RecoveryLog::default(),
-    };
-    for r in results {
-        let r = r?;
-        let sub = &subs[r.rank];
-        for (l, &g) in sub.el_l2g[..sub.n_owned_el].iter().enumerate() {
-            fields.rho[g as usize] = r.rho[l];
-            fields.ein[g as usize] = r.ein[l];
-            fields.pressure[g as usize] = r.pressure[l];
-            fields.mass[g as usize] = r.mass[l];
-            fields.q[g as usize] = r.q[l];
-            fields.cnmass[g as usize] = r.cnmass[l];
-        }
-        for &(g, v) in &r.u_owned {
-            fields.u[g as usize] = v;
-        }
-        for &(g, p) in &r.x_owned {
-            fields.nodes[g as usize] = p;
-        }
-        for &(g, m) in &r.nd_mass_owned {
-            fields.nd_mass[g as usize] = m;
-        }
-        fields.cursor = LoopState {
-            t: r.time,
-            steps: r.steps,
-            dt_prev: r.dt_prev,
-        };
-        report.steps = report.steps.max(r.steps);
-        // Max, not last-writer-wins: every rank reports the same final
-        // time, but a reordered result vector must not leave a stale
-        // zero (or any one rank's value) in charge.
-        report.time = report.time.max(r.time);
-        report.timers = report.timers.max(&r.timers);
-        report.comm = report.comm.merged(&r.comm);
-        // Already globally reduced — identical on every rank.
-        report.energy_start = r.energy_start;
-        report.energy_end = r.energy_end;
+impl RankState {
+    /// The whole deck as one piece at its initial state: the global view
+    /// every simulation starts from, and the piece the serial executor
+    /// advances. Its remapper is attached by the first serial call.
+    pub(crate) fn whole(deck: &Deck) -> Result<RankState> {
+        let mesh = deck.mesh.clone();
+        let state = deck.initial_state(&mesh)?;
+        Ok(RankState {
+            sub: SubMesh::whole(mesh),
+            state,
+            remapper: None,
+            piston: deck.piston.as_ref().map(|p| LocalPiston {
+                nodes: p.nodes.clone(),
+                velocity: p.velocity,
+            }),
+            overlap: None,
+            cursor: LoopState::default(),
+        })
     }
-    Ok((report, fields))
+
+    /// Load a whole-problem snapshot into this whole-mesh piece: the
+    /// checkpointed fields and cursor, then the fields derived from them.
+    pub(crate) fn install(&mut self, snap: &Snapshot, materials: &MaterialTable) -> Result<()> {
+        snap.restore(&mut self.sub.mesh, &mut self.state)?;
+        self.cursor = LoopState {
+            t: snap.time,
+            steps: snap.steps as usize,
+            dt_prev: snap.dt_prev,
+        };
+        rederive(&self.sub.mesh, materials, &mut self.state)
+    }
+
+    /// Attach the remapper a serial call needs (built from the deck's
+    /// initial mesh, so a restored piece remaps to the same target).
+    pub(crate) fn attach_remapper(&mut self, deck: &Deck, config: &RunConfig) {
+        if self.remapper.is_none() {
+            self.remapper = config.ale.map(|opts| Remapper::new(&deck.mesh, opts));
+        }
+    }
+
+    /// The piston hook of this piece.
+    pub(crate) fn piston(&self) -> Option<LocalPiston> {
+        self.piston.clone()
+    }
+
+    /// Advance this piece to `config`'s stop point through the shared
+    /// loop. `ctx` supplies the team's collectives and fault schedule;
+    /// `None` is a team of one, whose reductions are the identity.
+    /// `energy_ref` is the sentinel's drift reference; `None` reduces
+    /// this call's start energy instead. Returns the call's global
+    /// (start, end) energies.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn advance<H: HaloOps>(
+        &mut self,
+        ctx: Option<&RankCtx>,
+        halo: &mut H,
+        materials: &MaterialTable,
+        config: &RunConfig,
+        observers: &ObserverSet,
+        timers: &TimerRegistry,
+        energy_ref: Option<f64>,
+    ) -> Result<(f64, f64)> {
+        let range = LocalRange {
+            n_owned_el: self.sub.n_owned_el,
+            n_active_nd: self.sub.n_active_nd,
+        };
+        let RankState {
+            sub,
+            state,
+            remapper,
+            overlap,
+            cursor,
+            ..
+        } = self;
+        let (rank, nd_owner) = (sub.rank, &sub.nd_owner);
+        let mesh = &mut sub.mesh;
+        // This piece's energy contribution: owned elements and owned
+        // nodes, so partition-boundary nodes count once across the team.
+        let local_energy = |mesh: &Mesh, state: &HydroState| {
+            state.internal_energy(range)
+                + state.kinetic_energy_where(mesh, range, |n| nd_owner[n] as usize == rank)
+        };
+        // Every collective below (start/end energy, dt per step, any
+        // sentinel or observer-driven reduction inside the loop) runs in
+        // the same order on every rank.
+        let reduce_sum = |v: f64| -> Result<f64> {
+            Ok(match ctx {
+                Some(c) => c.allreduce_sum(v)?,
+                None => v,
+            })
+        };
+        let reduce_min = |v: f64| -> Result<f64> {
+            Ok(match ctx {
+                Some(c) => c.allreduce_min(v)?,
+                None => v,
+            })
+        };
+        let comm_stats = || ctx.map(RankCtx::stats).unwrap_or_default();
+        let energy_start = match energy_ref {
+            Some(e) => e,
+            None => reduce_sum(local_energy(mesh, state))?,
+        };
+        let n_ranks = ctx.map_or(1, RankCtx::n_ranks);
+        let watch = LoopWatch {
+            observers,
+            rank,
+            n_ranks,
+            reduce_sum: &reduce_sum,
+            comm_stats: &comm_stats,
+            local_energy: &local_energy,
+        };
+        let sentinel = SentinelOps {
+            rank,
+            reduce_min: &reduce_min,
+            reduce_sum: &reduce_sum,
+            local_energy: &local_energy,
+            energy_ref: energy_start,
+        };
+        run_loop(
+            mesh,
+            materials,
+            state,
+            range,
+            config,
+            remapper.as_ref(),
+            halo,
+            // The one per-step progress announcement: arms scheduled
+            // point faults for this step and fires a scheduled rank
+            // death, then the single global dt reduction.
+            |step, dt| match ctx {
+                Some(c) => {
+                    c.begin_step(step)?;
+                    Ok(c.allreduce_min(dt)?)
+                }
+                None => Ok(dt),
+            },
+            timers,
+            cursor,
+            overlap.as_ref(),
+            Some(&watch),
+            Some(&sentinel),
+        )?;
+        let energy_end = reduce_sum(local_energy(mesh, state))?;
+        Ok((energy_start, energy_end))
+    }
 }
 
-/// One rank's work: local state, halo hooks, the shared run loop.
-fn run_rank(
-    ctx: &bookleaf_typhon::RankCtx,
-    sub: &SubMesh,
+/// Re-derive what a checkpoint omits over every local element, owned
+/// and ghost: geometry, then pressure and sound speed. Both are pure
+/// per-element functions of the checkpointed fields, so every rank
+/// reproduces the owner's values bitwise.
+fn rederive(mesh: &Mesh, materials: &MaterialTable, state: &mut HydroState) -> Result<()> {
+    let whole = LocalRange::whole(mesh);
+    bookleaf_hydro::getgeom::getgeom(mesh, state, whole, Threading::Serial)?;
+    bookleaf_hydro::getpc::getpc(mesh, materials, state, whole, Threading::Serial);
+    Ok(())
+}
+
+/// Decompose the deck into `ranks` pieces and scatter `global` onto
+/// them: the team a distributed call builds when it has none.
+pub(crate) fn build_team(
     deck: &Deck,
     config: &RunConfig,
-    observers: &ObserverSet,
-    resume: Option<&Snapshot>,
-) -> Result<RankOut> {
-    let mut mesh = sub.mesh.clone();
-    let mut state = HydroState::new(
-        &mesh,
-        &deck.materials,
-        |e| deck.rho[sub.el_l2g[e] as usize],
-        |e| deck.ein[sub.el_l2g[e] as usize],
-        |n| deck.u[sub.nd_l2g[n] as usize],
-    )?;
-    let range = LocalRange {
-        n_owned_el: sub.n_owned_el,
-        n_active_nd: sub.n_active_nd,
-    };
+    global: &RankState,
+    ranks: usize,
+) -> Result<Vec<RankState>> {
+    let owner = partition(&deck.mesh, ranks, Strategy::Rcb)?;
+    SubMeshPlan::build(&deck.mesh, &owner, ranks)?
+        .into_iter()
+        .map(|sub| scatter(sub, deck, config, global))
+        .collect()
+}
 
-    // Map global piston nodes to local ids.
+/// One piece of a fresh team. Every local entity, owned or ghost, takes
+/// the global view's checkpointed fields, then the derived fields are
+/// re-derived: exactly what resuming from a checkpoint of the global
+/// view does.
+fn scatter(
+    mut sub: SubMesh,
+    deck: &Deck,
+    config: &RunConfig,
+    global: &RankState,
+) -> Result<RankState> {
+    // Captured before the scatter moves the nodes: the remap target is
+    // the deck-initial mesh.
+    let remapper = config.ale.map(|opts| Remapper::new(&sub.mesh, opts));
     let piston = deck.piston.as_ref().map(|p| {
         let g2l: HashMap<u32, u32> = sub
             .nd_l2g
@@ -237,153 +271,159 @@ fn run_rank(
             velocity: p.velocity,
         }
     });
+    let overlap = config.overlap.then(|| sub.overlap_sets());
 
-    // The remapper must capture the *deck-initial* node positions
-    // (they are the Eulerian remap target), so it is built before any
-    // checkpoint overwrites the mesh.
-    let remapper = config.ale.map(|opts| Remapper::new(&mesh, opts));
-    // Build the rank's aggregated exchange plan once; every halo hook
-    // then moves its whole phase as one message per neighbour.
-    let mut halo = TyphonHalo::new(ctx, sub, piston);
+    let (g_nodes, g) = (&global.sub.mesh.nodes, &global.state);
+    let (el, nd) = (&sub.el_l2g, &sub.nd_l2g);
+    let mut state = HydroState::new(
+        &sub.mesh,
+        &deck.materials,
+        |e| g.rho[el[e] as usize],
+        |e| g.ein[el[e] as usize],
+        |n| g.u[nd[n] as usize],
+    )?;
+    for (l, &n) in sub.nd_l2g.iter().enumerate() {
+        sub.mesh.nodes[l] = g_nodes[n as usize];
+        state.nd_mass[l] = g.nd_mass[n as usize];
+    }
+    for (l, &e) in sub.el_l2g.iter().enumerate() {
+        let e = e as usize;
+        state.mass[l] = g.mass[e];
+        state.q[l] = g.q[e];
+        state.cnmass[l] = g.cnmass[e];
+    }
+    rederive(&sub.mesh, &deck.materials, &mut state)?;
+    Ok(RankState {
+        sub,
+        state,
+        remapper,
+        piston,
+        overlap,
+        cursor: global.cursor,
+    })
+}
 
-    let mut cursor = crate::driver::LoopState::default();
-    if let Some(snap) = resume {
-        // Scatter the global checkpoint state onto the entities this
-        // rank owns; ghosts are poised to arrive from their owners.
-        for (l, &g) in sub.el_l2g[..sub.n_owned_el].iter().enumerate() {
-            let g = g as usize;
-            state.mass[l] = snap.mass[g];
-            state.rho[l] = snap.rho[g];
-            state.ein[l] = snap.ein[g];
-            state.q[l] = snap.q[g];
-            state.cnmass[l] = snap.cnmass[g];
+/// Copy every piece's owned entities into the whole-mesh `global`
+/// view, with the team's cursor.
+fn gather(team: &[RankState], global: &mut RankState) {
+    let (g_nodes, g) = (&mut global.sub.mesh.nodes, &mut global.state);
+    for piece in team {
+        let (sub, s) = (&piece.sub, &piece.state);
+        for (l, &e) in sub.el_l2g[..sub.n_owned_el].iter().enumerate() {
+            let e = e as usize;
+            g.rho[e] = s.rho[l];
+            g.ein[e] = s.ein[l];
+            g.pressure[e] = s.pressure[l];
+            g.cs2[e] = s.cs2[l];
+            g.volume[e] = s.volume[l];
+            g.mass[e] = s.mass[l];
+            g.q[e] = s.q[l];
+            g.cnmass[e] = s.cnmass[l];
         }
-        for n in 0..sub.n_active_nd {
-            if sub.owns_node(n) {
-                let g = sub.nd_l2g[n] as usize;
-                mesh.nodes[n] = snap.nodes[g];
-                state.u[n] = snap.u[g];
-                state.nd_mass[n] = snap.nd_mass[g];
+        for (l, &n) in sub.nd_l2g[..sub.n_active_nd].iter().enumerate() {
+            if sub.owns_node(l) {
+                let n = n as usize;
+                g_nodes[n] = sub.mesh.nodes[l];
+                g.u[n] = s.u[l];
+                g.nd_mass[n] = s.nd_mass[l];
             }
         }
-        // One-shot restore exchange: every ghost element and halo node
-        // receives its owner's checkpoint values — same plan machinery,
-        // one message per neighbour.
-        halo.exchange_restore(&mut mesh, &mut state)?;
-        // Re-derive the dependent fields over the whole local mesh
-        // (owned and ghost): geometry and EoS are pure per-element
-        // functions of the restored fields, so every rank reproduces
-        // the owner's values bitwise.
-        let whole = LocalRange {
-            n_owned_el: mesh.n_elements(),
-            n_active_nd: mesh.n_nodes(),
-        };
-        bookleaf_hydro::getgeom::getgeom(&mesh, &mut state, whole, config.lag.threading)?;
-        bookleaf_hydro::getpc::getpc(
-            &mesh,
-            &deck.materials,
-            &mut state,
-            whole,
-            config.lag.threading,
-        );
-        cursor = crate::driver::LoopState {
-            t: snap.time,
-            steps: snap.steps as usize,
-            dt_prev: snap.dt_prev,
-        };
     }
-    // Interior/boundary classification, derived once per run: with the
-    // overlap toggle on, every halo phase is posted early and completed
-    // only before the boundary sweep (latency hiding; bitwise identical
-    // physics and identical message counts).
-    let overlap_sets = config.overlap.then(|| sub.overlap_sets());
-    let timers = bookleaf_util::TimerRegistry::new();
+    if let Some(piece) = team.first() {
+        global.cursor = piece.cursor;
+    }
+}
 
-    // This rank's energy contribution: owned elements, owned nodes —
-    // partition-boundary nodes live on several ranks but are summed
-    // exactly once across the team.
-    let local_energy = |mesh: &Mesh, state: &HydroState| {
-        state.internal_energy(range) + state.kinetic_energy_where(mesh, range, |n| sub.owns_node(n))
+/// One distributed call: spawn the Typhon rank threads over the kept
+/// pieces, advance each through the shared loop (observers firing per
+/// rank), gather the owned entities into `global` and report. The
+/// report's timers, comm counters, wall clock and energies cover this
+/// call only. On an error the pieces are mid-step; the caller drops
+/// them.
+pub(crate) fn run_team(
+    team: &mut [RankState],
+    global: &mut RankState,
+    deck: &Deck,
+    config: &RunConfig,
+    observers: &ObserverSet,
+    typhon: &TyphonOptions,
+) -> Result<RunReport> {
+    let threads_per_rank = match config.executor {
+        ExecutorKind::Hybrid {
+            threads_per_rank, ..
+        } => threads_per_rank,
+        ExecutorKind::FlatMpi { .. } | ExecutorKind::Serial => 0,
     };
-    // All collective calls below (start/end energy, dt per step, any
-    // sentinel or observer-driven reductions inside the loop) execute
-    // in the same order on every rank.
-    let energy_start = ctx.allreduce_sum(local_energy(&mesh, &state))?;
-    let reduce_sum = |v: f64| -> Result<f64> { Ok(ctx.allreduce_sum(v)?) };
-    let reduce_min = |v: f64| -> Result<f64> { Ok(ctx.allreduce_min(v)?) };
-    let comm_stats = || ctx.stats();
-    let watch = LoopWatch {
-        observers,
-        rank: ctx.rank(),
-        n_ranks: ctx.n_ranks(),
-        reduce_sum: &reduce_sum,
-        comm_stats: &comm_stats,
-        local_energy: &local_energy,
-    };
-    let sentinel = SentinelOps {
-        rank: ctx.rank(),
-        reduce_min: &reduce_min,
-        reduce_sum: &reduce_sum,
-        local_energy: &local_energy,
-        energy_ref: energy_start,
+    let mut rank_config = *config;
+    rank_config.lag.threading = if threads_per_rank > 1 {
+        Threading::Rayon
+    } else {
+        Threading::Serial
     };
 
-    run_loop(
-        &mut mesh,
-        &deck.materials,
-        &mut state,
-        range,
-        config,
-        remapper.as_ref(),
-        &mut halo,
-        // The one per-step progress announcement: arms scheduled point
-        // faults for this step and fires a scheduled rank death, then
-        // the single global dt reduction.
-        |step, dt| {
-            ctx.begin_step(step)?;
-            Ok(ctx.allreduce_min(dt)?)
-        },
-        &timers,
-        &mut cursor,
-        overlap_sets.as_ref(),
-        Some(&watch),
-        Some(&sentinel),
-    )?;
-    let energy_end = ctx.allreduce_sum(local_energy(&mesh, &state))?;
-    let (steps, time) = (cursor.steps, cursor.t);
+    // Each rank thread locks only its own piece.
+    let pieces: Vec<Mutex<&mut RankState>> = team.iter_mut().map(Mutex::new).collect();
+    let start = std::time::Instant::now();
+    let results = Typhon::run_with(pieces.len(), typhon.clone(), |ctx| -> Result<_> {
+        let mut guard = pieces[ctx.rank()]
+            .lock()
+            .map_err(|_| BookLeafError::Comm("rank piece poisoned".into()))?;
+        let piece: &mut RankState = &mut guard;
+        let mut body = || -> Result<(TimerReport, CommStats, f64, f64)> {
+            // The halo plan is rebuilt per call (it is cheap); every
+            // hook then moves its whole phase as one message per
+            // neighbour.
+            let mut halo = TyphonHalo::new(ctx, &piece.sub, piece.piston());
+            let timers = TimerRegistry::new();
+            let (e0, e1) = piece.advance(
+                Some(ctx),
+                &mut halo,
+                &deck.materials,
+                &rank_config,
+                observers,
+                &timers,
+                None,
+            )?;
+            Ok((timers.report(), ctx.stats(), e0, e1))
+        };
+        if threads_per_rank > 1 {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads_per_rank)
+                .build()
+                .map_err(|e| BookLeafError::Comm(format!("rayon pool: {e}")))?;
+            pool.install(body)
+        } else {
+            body()
+        }
+    })?;
+    let wall = start.elapsed().as_secs_f64();
 
-    let u_owned: Vec<(u32, Vec2)> = (0..sub.n_active_nd)
-        .filter(|&n| sub.owns_node(n))
-        .map(|n| (sub.nd_l2g[n], state.u[n]))
-        .collect();
-    let x_owned: Vec<(u32, Vec2)> = (0..sub.n_active_nd)
-        .filter(|&n| sub.owns_node(n))
-        .map(|n| (sub.nd_l2g[n], mesh.nodes[n]))
-        .collect();
-    let nd_mass_owned: Vec<(u32, f64)> = (0..sub.n_active_nd)
-        .filter(|&n| sub.owns_node(n))
-        .map(|n| (sub.nd_l2g[n], state.nd_mass[n]))
-        .collect();
-
-    Ok(RankOut {
-        rank: ctx.rank(),
-        rho: state.rho[..sub.n_owned_el].to_vec(),
-        ein: state.ein[..sub.n_owned_el].to_vec(),
-        pressure: state.pressure[..sub.n_owned_el].to_vec(),
-        mass: state.mass[..sub.n_owned_el].to_vec(),
-        q: state.q[..sub.n_owned_el].to_vec(),
-        cnmass: state.cnmass[..sub.n_owned_el].to_vec(),
-        u_owned,
-        x_owned,
-        nd_mass_owned,
-        steps,
-        time,
-        dt_prev: cursor.dt_prev,
-        timers: timers.report(),
-        comm: ctx.stats(),
-        energy_start,
-        energy_end,
-    })
+    let mut report = RunReport {
+        name: deck.name.to_string(),
+        executor: config.executor,
+        ranks: team.len(),
+        steps: 0,
+        time: 0.0,
+        wall_seconds: wall,
+        timers: TimerReport::zero(),
+        comm: CommStats::default(),
+        energy_start: 0.0,
+        energy_end: 0.0,
+        recovery: crate::resilience::RecoveryLog::default(),
+    };
+    // Rank order: the first failing rank's error wins, deterministically.
+    for r in results {
+        let (timers, comm, e0, e1) = r?;
+        report.timers = report.timers.max(&timers);
+        report.comm = report.comm.merged(&comm);
+        // Already globally reduced — identical on every rank.
+        report.energy_start = e0;
+        report.energy_end = e1;
+    }
+    gather(team, global);
+    report.steps = global.cursor.steps;
+    report.time = global.cursor.t;
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -495,21 +535,28 @@ mod tests {
         );
     }
 
+    /// The pieces persist between calls: a second segment neither
+    /// re-partitions nor re-scatters (the team is the same allocation)
+    /// and sends only per-step halo traffic. The call that finishes the
+    /// run releases the team.
     #[test]
-    fn serial_executor_is_rejected_by_the_distributed_machinery() {
-        let deck = decks::sod(8, 2);
-        let config = RunConfig {
-            executor: ExecutorKind::Serial,
-            ..RunConfig::default()
-        };
-        assert!(run_with_observers(
-            &deck,
-            &config,
-            &ObserverSet::default(),
-            None,
-            &TyphonOptions::default()
-        )
-        .is_err());
+    fn the_team_persists_between_segments() {
+        let mut sim = Simulation::builder()
+            .deck(decks::noh(12))
+            .final_time(1.0)
+            .max_steps(12)
+            .executor(ExecutorKind::FlatMpi { ranks: 2 })
+            .build()
+            .unwrap();
+        assert!(sim.team.is_empty(), "build() must not build the team");
+        let first = sim.run_segment(4).unwrap();
+        let piece = std::ptr::from_ref(&sim.team[0].state.rho[0]);
+        let second = sim.run_segment(4).unwrap();
+        assert_eq!(second.steps, 8);
+        assert_eq!(std::ptr::from_ref(&sim.team[0].state.rho[0]), piece);
+        assert_eq!(first.comm.messages_sent, second.comm.messages_sent);
+        assert_eq!(sim.run_segment(4).unwrap().steps, 12);
+        assert!(sim.complete() && sim.team.is_empty());
     }
 
     #[test]

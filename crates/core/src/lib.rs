@@ -20,9 +20,10 @@
 //!   dt history, VTK frame dumper, progress logger);
 //! * [`driver`] — the shared hydro loop (`getdt` → `lagstep` →
 //!   optional `alestep`) every executor runs;
-//! * [`executor`] — distributed execution: flat MPI (one rank thread
-//!   per "core") and hybrid MPI+OpenMP (rank threads × rayon), both
-//!   built on the Typhon runtime with real halo exchanges;
+//! * [`executor`] — the rank team behind every executor, kept between
+//!   calls: serial is a team of one; flat MPI (one rank thread per
+//!   "core") and hybrid MPI+OpenMP (rank threads × rayon) are built on
+//!   the Typhon runtime with real halo exchanges;
 //! * [`halo`] — the [`bookleaf_hydro::HaloOps`] implementation backed by
 //!   Typhon exchanges (and the piston hook for Saltzmann);
 //! * [`output`] — VTK visualisation files and binary restart snapshots;

@@ -15,6 +15,15 @@ use crate::config::ExecutorKind;
 use crate::resilience::RecoveryLog;
 
 /// What a completed run reports, for every executor.
+///
+/// Every simulation is resumable, so a report answers for one call of
+/// `run`/`run_segment`. `steps` and `time` count the whole trajectory
+/// so far, and `energy_end` is the state the call ended in. The
+/// accounting fields differ by executor: for the serial executor
+/// `wall_seconds`, `timers` and `energy_start` also span the whole
+/// trajectory (energy pinned at the first call's start); for the
+/// distributed executors they, and `comm`, cover this call only, so a
+/// segmented run sums them over its segments.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Deck name (for logs and artefacts).
@@ -23,19 +32,24 @@ pub struct RunReport {
     pub executor: ExecutorKind,
     /// Rank count (1 for the serial executor).
     pub ranks: usize,
-    /// Steps taken.
+    /// Steps taken since t = 0 (whole trajectory).
     pub steps: usize,
-    /// Final simulated time.
+    /// Simulated time reached (whole trajectory).
     pub time: f64,
-    /// Wall-clock seconds for the whole run (team wall for distributed).
+    /// Wall-clock seconds: cumulative for serial, this call's team wall
+    /// for distributed executors.
     pub wall_seconds: f64,
-    /// Per-kernel timing (Table II buckets), max over ranks.
+    /// Per-kernel timing (Table II buckets), max over ranks: cumulative
+    /// for serial, this call's for distributed executors.
     pub timers: TimerReport,
-    /// Team-merged communication counters (zero for serial runs).
+    /// Team-merged communication counters of this call (zero for
+    /// serial runs).
     pub comm: CommStats,
-    /// Total energy at t = 0 (internal + kinetic, global).
+    /// Total energy (internal + kinetic, global) where the accounting
+    /// starts: the first call's start for serial, this call's start for
+    /// distributed executors.
     pub energy_start: f64,
-    /// Total energy at the end (global).
+    /// Total energy at the end of this call (global).
     pub energy_end: f64,
     /// What [`Simulation::run_resilient`](crate::Simulation::run_resilient)
     /// survived to produce this report: one event per fault, plus retry

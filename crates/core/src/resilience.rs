@@ -655,11 +655,8 @@ impl Simulation {
             } else {
                 goal_steps.min(seg_start + policy.checkpoint_every_steps)
             };
-            self.config_mut().max_steps = cap;
             self.typhon.attempt = base_attempt + failures;
-            let result = self.run();
-            self.config_mut().max_steps = goal_steps;
-            match result {
+            match self.run_until(cap) {
                 Ok(mut report) => {
                     let done = report.steps >= goal_steps || report.time >= goal_time - 1e-15;
                     let ckpt = self.checkpoint()?;
@@ -681,9 +678,6 @@ impl Simulation {
                             path.display()
                         )),
                     }
-                    // The next segment (and any rewind-free retry of a
-                    // distributed run) resumes from here.
-                    self.prime_resume(&ckpt.snap);
                     last_good = Some(ckpt);
                     if done {
                         self.typhon.attempt = base_attempt;
@@ -733,7 +727,7 @@ impl Simulation {
                     failures += 1;
                     self.config_mut().executor = retry_executor;
                     let snap = target.snap.clone();
-                    self.rewind_to(&snap)?;
+                    self.restore(&snap)?;
                 }
             }
         }

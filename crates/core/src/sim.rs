@@ -22,8 +22,9 @@
 //! global energy accounting) for all of them. Observers registered via
 //! [`SimulationBuilder::observer`] fire under every executor; after the
 //! run, [`Simulation::mesh`]/[`Simulation::state`] expose the solution
-//! (the rank pieces of a distributed run are assembled back into
-//! global order).
+//! (the rank pieces of a distributed run are gathered back into
+//! global order after every call; the team itself persists between
+//! calls, so `run_segment` loops cost no re-setup).
 //!
 //! Configuration precedence, lowest to highest: the defaults, the text
 //! deck's own `[control]`/`[dt]`/`[ale]`/`[executor]` sections, a
@@ -34,23 +35,20 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bookleaf_ale::{AleOptions, Remapper};
-use bookleaf_eos::MaterialTable;
+use bookleaf_ale::AleOptions;
 use bookleaf_hydro::getdt::DtControls;
 use bookleaf_hydro::{HydroState, LocalRange};
 use bookleaf_mesh::Mesh;
 use bookleaf_typhon::{CommStats, FaultPlan, TyphonOptions};
-use bookleaf_util::{BookLeafError, DeckError, Result, TimerRegistry};
-
-use bookleaf_util::CheckpointError;
+use bookleaf_util::{BookLeafError, CheckpointError, DeckError, Result, TimerRegistry};
 
 use crate::config::{ExecutorKind, RunConfig};
 use crate::decks::Deck;
-use crate::driver::{run_loop, LoopState, SentinelOps};
-use crate::executor::run_with_observers;
-use crate::halo::{LocalPiston, SerialHooks};
+use crate::driver::LoopState;
+use crate::executor::{build_team, run_team, RankState};
+use crate::halo::SerialHooks;
 use crate::input::InputDeck;
-use crate::observer::{LoopWatch, Observer, ObserverSet};
+use crate::observer::{Observer, ObserverSet};
 use crate::output::{Checkpoint, Snapshot};
 use crate::report::RunReport;
 
@@ -316,22 +314,10 @@ impl SimulationBuilder {
                 .into());
             }
         }
-        let engine = match config.executor {
-            ExecutorKind::Serial => {
-                let mut engine = SerialEngine::new(&deck, &config)?;
-                if let Some(snap) = &resume_snap {
-                    engine.install(snap, &deck, &config)?;
-                }
-                Engine::Serial(Box::new(engine))
-            }
-            ExecutorKind::FlatMpi { .. } | ExecutorKind::Hybrid { .. } => {
-                let mut view = AssembledView::new(&deck)?;
-                if let Some(snap) = &resume_snap {
-                    view.install(snap, &deck, &config)?;
-                }
-                Engine::Distributed(Box::new(view))
-            }
-        };
+        let mut global = RankState::whole(&deck)?;
+        if let Some(snap) = &resume_snap {
+            global.install(snap, &deck.materials)?;
+        }
         let mut typhon = TyphonOptions::default();
         if let Some(plan) = self.fault_plan {
             typhon.fault_plan = Some(Arc::new(plan));
@@ -344,8 +330,11 @@ impl SimulationBuilder {
             input,
             config,
             observers: ObserverSet::new(self.observers),
-            engine,
-            resume: resume_snap,
+            global,
+            team: Vec::new(),
+            timers: TimerRegistry::new(),
+            energy_start: None,
+            wall_seconds: 0.0,
             typhon,
         })
     }
@@ -360,181 +349,6 @@ impl std::fmt::Debug for SimulationBuilder {
     }
 }
 
-/// In-place serial execution state.
-struct SerialEngine {
-    mesh: Mesh,
-    materials: MaterialTable,
-    state: HydroState,
-    remapper: Option<Remapper>,
-    hooks: SerialHooks,
-    timers: TimerRegistry,
-    cursor: LoopState,
-    energy_start: Option<f64>,
-    /// Cumulative wall seconds across every `run`/`advance_to` segment,
-    /// so a resumed run's report stays consistent with its cumulative
-    /// steps/timers/energy.
-    wall_seconds: f64,
-}
-
-impl SerialEngine {
-    fn new(deck: &Deck, config: &RunConfig) -> Result<Self> {
-        let mesh = deck.mesh.clone();
-        let state = deck.initial_state(&mesh)?;
-        let remapper = config.ale.map(|opts| Remapper::new(&mesh, opts));
-        let hooks = SerialHooks {
-            piston: deck.piston.as_ref().map(|p| LocalPiston {
-                nodes: p.nodes.clone(),
-                velocity: p.velocity,
-            }),
-        };
-        Ok(SerialEngine {
-            mesh,
-            materials: deck.materials.clone(),
-            state,
-            remapper,
-            hooks,
-            timers: TimerRegistry::new(),
-            cursor: LoopState::default(),
-            energy_start: None,
-            wall_seconds: 0.0,
-        })
-    }
-
-    /// Load a snapshot into the live mesh/state, place the loop cursor
-    /// at its time/step, and re-derive the dependent fields the
-    /// snapshot omits (geometry, then pressure/sound speed).
-    fn install(&mut self, snap: &Snapshot, deck: &Deck, config: &RunConfig) -> Result<()> {
-        snap.restore(&mut self.mesh, &mut self.state)?;
-        self.cursor = LoopState {
-            t: snap.time,
-            steps: snap.steps as usize,
-            dt_prev: snap.dt_prev,
-        };
-        let range = LocalRange::whole(&self.mesh);
-        bookleaf_hydro::getgeom::getgeom(&self.mesh, &mut self.state, range, config.lag.threading)?;
-        bookleaf_hydro::getpc::getpc(
-            &self.mesh,
-            &deck.materials,
-            &mut self.state,
-            range,
-            config.lag.threading,
-        );
-        Ok(())
-    }
-
-    /// Run to `config.final_time`, firing `observers` along the way.
-    fn run(&mut self, config: &RunConfig, observers: &ObserverSet) -> Result<()> {
-        let start = std::time::Instant::now();
-        let result = self.run_inner(config, observers);
-        self.wall_seconds += start.elapsed().as_secs_f64();
-        result
-    }
-
-    fn run_inner(&mut self, config: &RunConfig, observers: &ObserverSet) -> Result<()> {
-        let range = LocalRange::whole(&self.mesh);
-        let energy_ref = *self
-            .energy_start
-            .get_or_insert_with(|| self.state.total_energy(&self.mesh, range));
-        let identity = |v: f64| -> Result<f64> { Ok(v) };
-        let no_comm = CommStats::default;
-        let whole_energy =
-            |mesh: &Mesh, state: &HydroState| state.total_energy(mesh, LocalRange::whole(mesh));
-        let watch = LoopWatch {
-            observers,
-            rank: 0,
-            n_ranks: 1,
-            reduce_sum: &identity,
-            comm_stats: &no_comm,
-            local_energy: &whole_energy,
-        };
-        let sentinel = SentinelOps {
-            rank: 0,
-            reduce_min: &identity,
-            reduce_sum: &identity,
-            local_energy: &whole_energy,
-            energy_ref,
-        };
-        run_loop(
-            &mut self.mesh,
-            &self.materials,
-            &mut self.state,
-            range,
-            config,
-            self.remapper.as_ref(),
-            &mut self.hooks,
-            |_step, dt| Ok(dt),
-            &self.timers,
-            &mut self.cursor,
-            None,
-            Some(&watch),
-            Some(&sentinel),
-        )
-    }
-}
-
-impl std::fmt::Debug for SerialEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SerialEngine")
-            .field("cursor", &self.cursor)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Post-run global view of a distributed run: the deck's mesh and
-/// initial state, overwritten with the assembled rank pieces after
-/// every run (ρ, ε, p, u and node positions — the fields the executors
-/// have always assembled; derived scratch fields keep their initial
-/// values).
-#[derive(Debug)]
-struct AssembledView {
-    mesh: Mesh,
-    state: HydroState,
-    /// The assembled time/step/dt cursor — default before any run,
-    /// the checkpoint's cursor after a resume install, the final
-    /// cursor after a run. Feeds [`Simulation::checkpoint`].
-    cursor: LoopState,
-}
-
-impl AssembledView {
-    fn new(deck: &Deck) -> Result<Self> {
-        let mesh = deck.mesh.clone();
-        let state = deck.initial_state(&mesh)?;
-        Ok(AssembledView {
-            mesh,
-            state,
-            cursor: LoopState::default(),
-        })
-    }
-
-    /// Mirror of [`SerialEngine::install`] for the global view, so
-    /// `state()`/`checkpoint()` reflect the checkpoint even before the
-    /// resumed distributed run happens.
-    fn install(&mut self, snap: &Snapshot, deck: &Deck, config: &RunConfig) -> Result<()> {
-        snap.restore(&mut self.mesh, &mut self.state)?;
-        self.cursor = LoopState {
-            t: snap.time,
-            steps: snap.steps as usize,
-            dt_prev: snap.dt_prev,
-        };
-        let range = LocalRange::whole(&self.mesh);
-        bookleaf_hydro::getgeom::getgeom(&self.mesh, &mut self.state, range, config.lag.threading)?;
-        bookleaf_hydro::getpc::getpc(
-            &self.mesh,
-            &deck.materials,
-            &mut self.state,
-            range,
-            config.lag.threading,
-        );
-        Ok(())
-    }
-}
-
-#[derive(Debug)]
-enum Engine {
-    Serial(Box<SerialEngine>),
-    Distributed(Box<AssembledView>),
-}
-
 /// One handle for a whole run, whatever the executor. Build with
 /// [`Simulation::builder`]; see the module docs for the shape of the
 /// API.
@@ -544,11 +358,23 @@ pub struct Simulation {
     input: Option<InputDeck>,
     config: RunConfig,
     observers: ObserverSet,
-    engine: Engine,
-    /// Snapshot to scatter across the ranks of a distributed run, when
-    /// the simulation was built from a checkpoint (serial engines
-    /// install it directly at build time instead).
-    resume: Option<Box<Snapshot>>,
+    /// The whole-mesh piece that [`Simulation::mesh`],
+    /// [`Simulation::state`] and [`Simulation::checkpoint`] read. Under
+    /// the serial executor it is the team of one, advanced in place; a
+    /// distributed team gathers its owned entities into it after every
+    /// successful call.
+    global: RankState,
+    /// The distributed team, kept between calls while the run has steps
+    /// left. Empty under the serial executor, until the first
+    /// distributed call, and after a failed call, a finished run or a
+    /// [`Simulation::restore`]; a further distributed call then scatters
+    /// `global` into a fresh team.
+    pub(crate) team: Vec<RankState>,
+    /// Serial bookkeeping over the whole trajectory: kernel timers, the
+    /// start energy and the wall clock of every call so far.
+    timers: TimerRegistry,
+    energy_start: Option<f64>,
+    wall_seconds: f64,
     /// Comm-layer options for distributed runs: receive/collective
     /// deadline, fault schedule, recovery-attempt index.
     pub(crate) typhon: TyphonOptions,
@@ -562,58 +388,87 @@ impl Simulation {
 
     /// Run to the configured final time and report.
     ///
-    /// Serial simulations are resumable: a second `run` after raising
-    /// `final_time` (or a [`Simulation::restore`]) continues where the
-    /// first stopped. Distributed simulations execute the whole problem
-    /// each call.
+    /// Every simulation is resumable: a second `run` after a
+    /// [`Simulation::restore`] continues from the restored state, under
+    /// any executor. A distributed team is partitioned and scattered by
+    /// its first call and then kept, so later calls only exchange halos.
     pub fn run(&mut self) -> Result<RunReport> {
-        match &mut self.engine {
-            Engine::Serial(engine) => {
-                let range = LocalRange::whole(&engine.mesh);
-                let e0 = *engine
-                    .energy_start
-                    .get_or_insert_with(|| engine.state.total_energy(&engine.mesh, range));
-                engine.run(&self.config, &self.observers)?;
-                let e1 = engine.state.total_energy(&engine.mesh, range);
-                // Every quantity spans the whole trajectory so far —
-                // steps, timers, energy (pinned at t = 0) and the
-                // cumulative wall clock — so resumed runs report
-                // consistently.
-                Ok(RunReport {
-                    name: self.deck.name.to_string(),
-                    executor: self.config.executor,
-                    ranks: 1,
-                    steps: engine.cursor.steps,
-                    time: engine.cursor.t,
-                    wall_seconds: engine.wall_seconds,
-                    timers: engine.timers.report(),
-                    comm: CommStats::default(),
-                    energy_start: e0,
-                    energy_end: e1,
-                    recovery: crate::resilience::RecoveryLog::default(),
-                })
-            }
-            Engine::Distributed(view) => {
-                let (report, fields) = run_with_observers(
-                    &self.deck,
-                    &self.config,
-                    &self.observers,
-                    self.resume.as_deref(),
-                    &self.typhon,
-                )?;
-                view.mesh.nodes.copy_from_slice(&fields.nodes);
-                view.state.rho.copy_from_slice(&fields.rho);
-                view.state.ein.copy_from_slice(&fields.ein);
-                view.state.pressure.copy_from_slice(&fields.pressure);
-                view.state.u.copy_from_slice(&fields.u);
-                view.state.mass.copy_from_slice(&fields.mass);
-                view.state.q.copy_from_slice(&fields.q);
-                view.state.nd_mass.copy_from_slice(&fields.nd_mass);
-                view.state.cnmass.copy_from_slice(&fields.cnmass);
-                view.cursor = fields.cursor;
-                Ok(report)
-            }
+        self.run_until(self.config.max_steps)
+    }
+
+    /// Advance until the configured goal or until the cursor reaches
+    /// `max_steps` steps, whichever comes first: the one path behind
+    /// [`Simulation::run`], [`Simulation::run_segment`] and
+    /// [`Simulation::run_resilient`]'s segments.
+    pub(crate) fn run_until(&mut self, max_steps: usize) -> Result<RunReport> {
+        let config = RunConfig {
+            max_steps,
+            ..self.config
+        };
+        let ranks = match config.executor {
+            ExecutorKind::Serial => return self.run_serial(config),
+            ExecutorKind::FlatMpi { ranks } | ExecutorKind::Hybrid { ranks, .. } => ranks,
+        };
+        if self.team.len() != ranks {
+            self.team = build_team(&self.deck, &config, &self.global, ranks)?;
         }
+        let result = run_team(
+            &mut self.team,
+            &mut self.global,
+            &self.deck,
+            &config,
+            &self.observers,
+            &self.typhon,
+        );
+        // A failed call leaves the pieces mid-step, and a finished run
+        // needs them no more (they hold about as much memory again as
+        // `global`): either way `global` holds the state a further call
+        // would scatter.
+        if result.is_err() || self.complete() {
+            self.team.clear();
+        }
+        result
+    }
+
+    /// Advance the serial team of one in place under `config`. The
+    /// report spans the whole trajectory so far: steps, timers, energy
+    /// (pinned at the first call's start) and the cumulative wall clock.
+    fn run_serial(&mut self, config: RunConfig) -> Result<RunReport> {
+        let start = std::time::Instant::now();
+        let piece = &mut self.global;
+        piece.attach_remapper(&self.deck, &config);
+        let e0 = *self.energy_start.get_or_insert_with(|| {
+            piece
+                .state
+                .total_energy(&piece.sub.mesh, LocalRange::whole(&piece.sub.mesh))
+        });
+        let mut hooks = SerialHooks {
+            piston: piece.piston(),
+        };
+        let result = piece.advance(
+            None,
+            &mut hooks,
+            &self.deck.materials,
+            &config,
+            &self.observers,
+            &self.timers,
+            Some(e0),
+        );
+        self.wall_seconds += start.elapsed().as_secs_f64();
+        let (_, e1) = result?;
+        Ok(RunReport {
+            name: self.deck.name.to_string(),
+            executor: self.config.executor,
+            ranks: 1,
+            steps: piece.cursor.steps,
+            time: piece.cursor.t,
+            wall_seconds: self.wall_seconds,
+            timers: self.timers.report(),
+            comm: CommStats::default(),
+            energy_start: e0,
+            energy_end: e1,
+            recovery: crate::resilience::RecoveryLog::default(),
+        })
     }
 
     /// Has the run reached its goal — the configured final time or the
@@ -628,100 +483,67 @@ impl Simulation {
     /// executor, leaving the simulation resumable: the next
     /// [`Simulation::run`] or `run_segment` continues where this one
     /// stopped. Segments stop at step boundaries — no dt truncation —
-    /// so a segmented run reproduces the unsegmented trajectory
-    /// **bitwise** on the same executor shape (the mechanism
-    /// [`Simulation::run_resilient`] pins in its tests). This is the
-    /// cooperative-scheduling primitive `bookleaf serve` drains with:
-    /// a worker can pause between segments, checkpoint, and hand the
-    /// request back as a resumable handle.
+    /// and every executor keeps its state between calls, so a segmented
+    /// run reproduces the unsegmented trajectory **bitwise** on the same
+    /// executor shape. This is the cooperative-scheduling primitive
+    /// `bookleaf serve` drains with: a worker can pause between
+    /// segments, checkpoint, and hand the request back as a resumable
+    /// handle.
     ///
-    /// The returned report spans the whole trajectory so far (steps,
-    /// time, cumulative timers), not just this segment.
+    /// The returned report's steps and time are cumulative; see
+    /// [`RunReport`] for which other fields cover only this call.
     ///
     /// # Errors
     ///
     /// Everything [`Simulation::run`] can return.
     pub fn run_segment(&mut self, steps: usize) -> Result<RunReport> {
-        let goal_steps = self.config.max_steps;
-        let seg_start = self.cursor().steps;
-        let cap = goal_steps.min(seg_start.saturating_add(steps.max(1)));
-        self.config_mut().max_steps = cap;
-        let result = self.run();
-        self.config_mut().max_steps = goal_steps;
-        let report = result?;
-        // Distributed engines re-execute from their resume snapshot on
-        // every `run` call; re-prime it from the assembled segment
-        // state so the next segment continues instead of restarting.
-        let done = self.complete();
-        let snap = match &self.engine {
-            Engine::Distributed(v) if !done => Some(Snapshot::capture(
-                &v.mesh,
-                &v.state,
-                v.cursor.t,
-                v.cursor.steps as u64,
-                v.cursor.dt_prev,
-            )),
-            _ => None,
-        };
-        if let Some(snap) = snap {
-            self.resume = Some(Box::new(snap));
-        }
-        Ok(report)
+        let cap = self.cursor().steps.saturating_add(steps.max(1));
+        self.run_until(cap.min(self.config.max_steps))
     }
 
     /// Advance a **serial** simulation to `t_target` (clamped to the
     /// configured final time), leaving it resumable — the in-situ
     /// output idiom. Errors under distributed executors.
     pub fn advance_to(&mut self, t_target: f64) -> Result<&LoopState> {
-        let Engine::Serial(engine) = &mut self.engine else {
+        if self.config.executor != ExecutorKind::Serial {
             return Err(BookLeafError::InvalidDeck(
                 "advance_to requires the serial executor".into(),
             ));
-        };
-        let range = LocalRange::whole(&engine.mesh);
-        engine
-            .energy_start
-            .get_or_insert_with(|| engine.state.total_energy(&engine.mesh, range));
+        }
         let capped = RunConfig {
             final_time: t_target.min(self.config.final_time),
             ..self.config
         };
-        engine.run(&capped, &self.observers)?;
-        Ok(&engine.cursor)
+        self.run_serial(capped)?;
+        Ok(&self.global.cursor)
     }
 
-    /// Capture a restart snapshot (serial executor only).
+    /// Capture a restart snapshot of the current state.
     pub fn snapshot(&self) -> Result<Snapshot> {
-        let Engine::Serial(engine) = &self.engine else {
-            return Err(BookLeafError::InvalidDeck(
-                "snapshots require the serial executor".into(),
-            ));
-        };
+        let g = &self.global;
         Ok(Snapshot::capture(
-            &engine.mesh,
-            &engine.state,
-            engine.cursor.t,
-            engine.cursor.steps as u64,
-            engine.cursor.dt_prev,
+            &g.sub.mesh,
+            &g.state,
+            g.cursor.t,
+            g.cursor.steps as u64,
+            g.cursor.dt_prev,
         ))
     }
 
     /// Restore a snapshot (shapes must match this simulation's deck)
-    /// and resume from its time/step cursor. Serial executor only.
+    /// and resume from its time/step cursor, under any executor: a
+    /// distributed team is dropped and the next call scatters the
+    /// snapshot into a fresh one.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<()> {
-        let Engine::Serial(engine) = &mut self.engine else {
-            return Err(BookLeafError::InvalidDeck(
-                "snapshots require the serial executor".into(),
-            ));
-        };
-        engine.install(snap, &self.deck, &self.config)
+        self.team.clear();
+        self.global.install(snap, &self.deck.materials)
     }
 
     /// Capture a portable, versioned [`Checkpoint`]: the full restart
     /// state plus the input deck that rebuilds this problem (so
     /// [`SimulationBuilder::resume`] needs nothing but the file). Works
     /// under every executor — distributed runs checkpoint their
-    /// assembled global view — but requires a deck that carries a
+    /// gathered global view — but requires a deck that carries a
     /// problem spec ([`Deck::spec`]); hand-assembled decks cannot be
     /// checkpointed and return a typed
     /// [`CheckpointError::DeckMismatch`].
@@ -752,23 +574,10 @@ impl Simulation {
             ale: self.config.ale,
             executor: self.config.executor,
         };
-        let snap = match &self.engine {
-            Engine::Serial(e) => Snapshot::capture(
-                &e.mesh,
-                &e.state,
-                e.cursor.t,
-                e.cursor.steps as u64,
-                e.cursor.dt_prev,
-            ),
-            Engine::Distributed(v) => Snapshot::capture(
-                &v.mesh,
-                &v.state,
-                v.cursor.t,
-                v.cursor.steps as u64,
-                v.cursor.dt_prev,
-            ),
-        };
-        Ok(Checkpoint { input, snap })
+        Ok(Checkpoint {
+            input,
+            snap: self.snapshot()?,
+        })
     }
 
     /// Write [`Simulation::checkpoint`] to a file (see
@@ -778,47 +587,16 @@ impl Simulation {
         Ok(())
     }
 
-    /// The loop cursor: where the next `run` continues from (serial
-    /// engines advance it in place; distributed engines mirror the
-    /// team's cursor into the assembled view after each run).
+    /// The loop cursor: where the next `run` continues from (a
+    /// distributed team's cursor is gathered with its state).
     pub(crate) fn cursor(&self) -> &LoopState {
-        match &self.engine {
-            Engine::Serial(e) => &e.cursor,
-            Engine::Distributed(v) => &v.cursor,
-        }
+        &self.global.cursor
     }
 
     /// Mutable configuration access for the resilience supervisor
-    /// (segment caps, executor reshapes).
+    /// (deadline, executor reshapes).
     pub(crate) fn config_mut(&mut self) -> &mut RunConfig {
         &mut self.config
-    }
-
-    /// Make the next distributed `run` start from `snap` (serial
-    /// engines carry their state in place and ignore this).
-    pub(crate) fn prime_resume(&mut self, snap: &Snapshot) {
-        self.resume = Some(Box::new(snap.clone()));
-    }
-
-    /// Rewind for a supervised retry: rebuild the engine to match the
-    /// *current* configured executor — the supervisor may have reshaped
-    /// it, including across the serial/distributed divide — and install
-    /// `snap` as the state the retry continues from.
-    pub(crate) fn rewind_to(&mut self, snap: &Snapshot) -> Result<()> {
-        self.engine = match self.config.executor {
-            ExecutorKind::Serial => {
-                let mut engine = SerialEngine::new(&self.deck, &self.config)?;
-                engine.install(snap, &self.deck, &self.config)?;
-                Engine::Serial(Box::new(engine))
-            }
-            ExecutorKind::FlatMpi { .. } | ExecutorKind::Hybrid { .. } => {
-                let mut view = AssembledView::new(&self.deck)?;
-                view.install(snap, &self.deck, &self.config)?;
-                Engine::Distributed(Box::new(view))
-            }
-        };
-        self.resume = Some(Box::new(snap.clone()));
-        Ok(())
     }
 
     /// The problem deck this simulation was built from.
@@ -840,23 +618,18 @@ impl Simulation {
     }
 
     /// The current mesh: live solver state for serial runs, the
-    /// assembled global view after distributed runs.
+    /// gathered global view after distributed runs.
     #[must_use]
     pub fn mesh(&self) -> &Mesh {
-        match &self.engine {
-            Engine::Serial(e) => &e.mesh,
-            Engine::Distributed(v) => &v.mesh,
-        }
+        &self.global.sub.mesh
     }
 
     /// The current state (see [`Simulation::mesh`] for the semantics;
-    /// distributed runs assemble ρ, ε, p, u and node positions).
+    /// distributed runs gather every checkpointed field plus ρ-derived
+    /// pressure, sound speed and volume).
     #[must_use]
     pub fn state(&self) -> &HydroState {
-        match &self.engine {
-            Engine::Serial(e) => &e.state,
-            Engine::Distributed(v) => &v.state,
-        }
+        &self.global.state
     }
 }
 

@@ -67,6 +67,25 @@ pub struct SubMesh {
 }
 
 impl SubMesh {
+    /// The whole of `mesh` as the one piece of a team of one: rank 0
+    /// owns every element and node, the local↔global maps are the
+    /// identity, and there is nothing to exchange.
+    #[must_use]
+    pub fn whole(mesh: Mesh) -> SubMesh {
+        let (ne, nn) = (mesh.n_elements() as u32, mesh.n_nodes() as u32);
+        SubMesh {
+            rank: 0,
+            n_owned_el: ne as usize,
+            n_active_nd: nn as usize,
+            el_l2g: (0..ne).collect(),
+            nd_l2g: (0..nn).collect(),
+            nd_owner: vec![0; nn as usize],
+            el_exchange: Vec::new(),
+            nd_exchange: Vec::new(),
+            mesh,
+        }
+    }
+
     /// True when local element `e` is owned by this rank.
     #[inline]
     #[must_use]

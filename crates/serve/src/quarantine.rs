@@ -8,6 +8,10 @@
 //! window. Deck syntax errors and protocol mistakes are **not** health
 //! failures: a typo must never quarantine anyone. A single healthy
 //! completion resets both the failure streak and the backoff level.
+//!
+//! The ledger never reads a clock: callers pass `now` into
+//! [`TenantLedger::admit`] and [`TenantLedger::finish`], so every window
+//! and every `retry_after` is a pure function of the instants supplied.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -120,11 +124,10 @@ impl TenantLedger {
     ///
     /// [`AdmitError::Quarantined`] while the tenant's window is open,
     /// [`AdmitError::TooManyInFlight`] at the in-flight ceiling.
-    pub fn admit(&self, tenant: &str) -> Result<(), AdmitError> {
+    pub fn admit(&self, tenant: &str, now: Instant) -> Result<(), AdmitError> {
         let mut tenants = self.tenants.lock().expect("tenant ledger poisoned");
         let state = tenants.entry(tenant.to_string()).or_default();
         if let Some(until) = state.quarantined_until {
-            let now = Instant::now();
             if now < until {
                 return Err(AdmitError::Quarantined {
                     retry_after: until - now,
@@ -143,8 +146,9 @@ impl TenantLedger {
     }
 
     /// Record the outcome of an admitted request, releasing its
-    /// in-flight slot and updating the tenant's health standing.
-    pub fn finish(&self, tenant: &str, outcome: RunOutcome) {
+    /// in-flight slot and updating the tenant's health standing. A
+    /// quarantine this outcome triggers opens its window at `now`.
+    pub fn finish(&self, tenant: &str, outcome: RunOutcome, now: Instant) {
         let mut tenants = self.tenants.lock().expect("tenant ledger poisoned");
         let state = tenants.entry(tenant.to_string()).or_default();
         state.in_flight = state.in_flight.saturating_sub(1);
@@ -164,7 +168,7 @@ impl TenantLedger {
                         .checked_mul(1u32 << exp.min(16))
                         .unwrap_or(self.policy.cap)
                         .min(self.policy.cap);
-                    state.quarantined_until = Some(Instant::now() + window);
+                    state.quarantined_until = Some(now + window);
                     state.quarantine_level += 1;
                     // The streak restarts inside quarantine: the next
                     // `threshold` failures after release re-quarantine
@@ -175,14 +179,14 @@ impl TenantLedger {
         }
     }
 
-    /// Is `tenant` currently quarantined?
+    /// Is `tenant` quarantined at `now`?
     #[must_use]
-    pub fn is_quarantined(&self, tenant: &str) -> bool {
+    pub fn is_quarantined(&self, tenant: &str, now: Instant) -> bool {
         let tenants = self.tenants.lock().expect("tenant ledger poisoned");
         tenants
             .get(tenant)
             .and_then(|s| s.quarantined_until)
-            .is_some_and(|until| Instant::now() < until)
+            .is_some_and(|until| now < until)
     }
 }
 
@@ -198,86 +202,124 @@ mod tests {
         }
     }
 
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
     #[test]
     fn health_failures_quarantine_at_the_threshold() {
         let ledger = TenantLedger::new(fast_policy(), 4);
-        ledger.admit("mallory").unwrap();
-        ledger.finish("mallory", RunOutcome::HealthFailure);
+        let t0 = Instant::now();
+        ledger.admit("mallory", t0).unwrap();
+        ledger.finish("mallory", RunOutcome::HealthFailure, t0);
         assert!(
-            !ledger.is_quarantined("mallory"),
+            !ledger.is_quarantined("mallory", t0),
             "one failure is not a streak"
         );
-        ledger.admit("mallory").unwrap();
-        ledger.finish("mallory", RunOutcome::HealthFailure);
-        assert!(ledger.is_quarantined("mallory"));
-        let err = ledger.admit("mallory").unwrap_err();
+        ledger.admit("mallory", t0).unwrap();
+        ledger.finish("mallory", RunOutcome::HealthFailure, t0);
+        assert!(ledger.is_quarantined("mallory", t0));
+        let err = ledger.admit("mallory", t0).unwrap_err();
         assert!(matches!(err, AdmitError::Quarantined { .. }), "{err}");
+        // The window closes exactly at its end.
+        assert!(ledger.is_quarantined("mallory", t0 + ms(19)));
+        assert!(!ledger.is_quarantined("mallory", t0 + ms(20)));
         // An unrelated tenant is untouched.
-        ledger.admit("alice").unwrap();
-        ledger.finish("alice", RunOutcome::Healthy);
+        ledger.admit("alice", t0).unwrap();
+        ledger.finish("alice", RunOutcome::Healthy, t0);
     }
 
     #[test]
     fn quarantine_windows_double_and_heal_on_success() {
         let ledger = TenantLedger::new(fast_policy(), 4);
-        let trip = |ledger: &TenantLedger| {
+        let level = |ledger: &TenantLedger| ledger.tenants.lock().unwrap()["m"].quarantine_level;
+        let trip = |ledger: &TenantLedger, now: Instant| {
             for _ in 0..2 {
-                ledger.admit("m").unwrap();
-                ledger.finish("m", RunOutcome::HealthFailure);
+                ledger.admit("m", now).unwrap();
+                ledger.finish("m", RunOutcome::HealthFailure, now);
             }
         };
-        trip(&ledger);
-        let AdmitError::Quarantined { retry_after: w1 } = ledger.admit("m").unwrap_err() else {
-            panic!("expected quarantine");
-        };
-        std::thread::sleep(w1 + Duration::from_millis(5));
-        // Released — and the next streak quarantines with a doubled window.
-        trip(&ledger);
-        let AdmitError::Quarantined { retry_after: w2 } = ledger.admit("m").unwrap_err() else {
-            panic!("expected re-quarantine");
-        };
-        assert!(
-            w2 > w1,
-            "window must grow: first {} ms, second {} ms",
-            w1.as_millis(),
-            w2.as_millis()
+        let t0 = Instant::now();
+        trip(&ledger, t0);
+        assert_eq!(level(&ledger), 1);
+        assert_eq!(
+            ledger.admit("m", t0),
+            Err(AdmitError::Quarantined {
+                retry_after: ms(20)
+            })
         );
-        std::thread::sleep(w2 + Duration::from_millis(5));
+        // Released at the window's end — and the next streak
+        // quarantines with a doubled window.
+        let t1 = t0 + ms(20);
+        trip(&ledger, t1);
+        assert_eq!(level(&ledger), 2);
+        assert_eq!(
+            ledger.admit("m", t1),
+            Err(AdmitError::Quarantined {
+                retry_after: ms(40)
+            })
+        );
+        // Halfway through, half the window remains.
+        assert_eq!(
+            ledger.admit("m", t1 + ms(15)),
+            Err(AdmitError::Quarantined {
+                retry_after: ms(25)
+            })
+        );
+        // Doubling stops at the cap: 80 ms, then 100 ms, not 160 ms.
+        let t2 = t1 + ms(40);
+        trip(&ledger, t2);
+        let t3 = t2 + ms(80);
+        trip(&ledger, t3);
+        assert_eq!(level(&ledger), 4);
+        assert_eq!(
+            ledger.admit("m", t3),
+            Err(AdmitError::Quarantined {
+                retry_after: ms(100)
+            })
+        );
         // A healthy completion resets the level: the next streak gets
         // the base window again.
-        ledger.admit("m").unwrap();
-        ledger.finish("m", RunOutcome::Healthy);
-        trip(&ledger);
-        let AdmitError::Quarantined { retry_after: w3 } = ledger.admit("m").unwrap_err() else {
-            panic!("expected quarantine after reset");
-        };
-        assert!(w3 <= w1, "healthy run must reset the backoff level");
+        let t4 = t3 + ms(100);
+        ledger.admit("m", t4).unwrap();
+        ledger.finish("m", RunOutcome::Healthy, t4);
+        assert_eq!(level(&ledger), 0);
+        trip(&ledger, t4);
+        assert_eq!(level(&ledger), 1);
+        assert_eq!(
+            ledger.admit("m", t4),
+            Err(AdmitError::Quarantined {
+                retry_after: ms(20)
+            })
+        );
     }
 
     #[test]
     fn unrelated_failures_never_quarantine() {
         let ledger = TenantLedger::new(fast_policy(), 4);
+        let now = Instant::now();
         for _ in 0..10 {
-            ledger.admit("typo").unwrap();
-            ledger.finish("typo", RunOutcome::Unrelated);
+            ledger.admit("typo", now).unwrap();
+            ledger.finish("typo", RunOutcome::Unrelated, now);
         }
-        assert!(!ledger.is_quarantined("typo"));
+        assert!(!ledger.is_quarantined("typo", now));
     }
 
     #[test]
     fn in_flight_ceiling_is_enforced_per_tenant() {
         let ledger = TenantLedger::new(QuarantinePolicy::default(), 2);
-        ledger.admit("a").unwrap();
-        ledger.admit("a").unwrap();
+        let now = Instant::now();
+        ledger.admit("a", now).unwrap();
+        ledger.admit("a", now).unwrap();
         assert!(matches!(
-            ledger.admit("a").unwrap_err(),
+            ledger.admit("a", now).unwrap_err(),
             AdmitError::TooManyInFlight {
                 in_flight: 2,
                 limit: 2
             }
         ));
-        ledger.admit("b").unwrap();
-        ledger.finish("a", RunOutcome::Healthy);
-        ledger.admit("a").unwrap();
+        ledger.admit("b", now).unwrap();
+        ledger.finish("a", RunOutcome::Healthy, now);
+        ledger.admit("a", now).unwrap();
     }
 }

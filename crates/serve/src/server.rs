@@ -613,7 +613,7 @@ fn handle_run(shared: &Arc<Shared>, stream: &TcpStream, req: &Request) {
         );
         return;
     }
-    match shared.ledger.admit(&params.tenant) {
+    match shared.ledger.admit(&params.tenant, Instant::now()) {
         Ok(()) => {}
         Err(err @ AdmitError::Quarantined { retry_after }) => {
             let ms = retry_after.as_millis();
@@ -654,7 +654,9 @@ fn handle_run(shared: &Arc<Shared>, stream: &TcpStream, req: &Request) {
         RunEnd::Drained { .. } => RunOutcome::Unrelated,
         RunEnd::Failed(err) => classify_run_error(err).3,
     };
-    shared.ledger.finish(&params.tenant, outcome);
+    shared
+        .ledger
+        .finish(&params.tenant, outcome, Instant::now());
     if let RunEnd::Drained { .. } = &end {
         shared.drained.fetch_add(1, Ordering::SeqCst);
     }

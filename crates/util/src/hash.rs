@@ -5,12 +5,19 @@
 //! integrity (the typhon layer checksums every payload so injected or
 //! real corruption surfaces as a typed `CommError` instead of silently
 //! wrong physics).
+//!
+//! Both flavours use slicing-by-8: eight derived tables fold eight input
+//! bytes per iteration with eight independent lookups instead of a
+//! chain of eight dependent ones, about 4× the bytewise loop's
+//! throughput with identical values (the bytewise loop is kept as the
+//! test reference).
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the same
-/// checksum gzip/zip use. Guarantees detection of any single burst of
-/// up to 32 bits, which covers every single-byte corruption.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// The eight slicing tables. `CRC_TABLES[0]` is the classic bytewise
+/// table of CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`);
+/// `CRC_TABLES[k][i]` is the CRC state after feeding byte `i` followed
+/// by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -23,19 +30,52 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
-/// CRC-32 of `bytes` (IEEE, reflected). See [`crc32_f64s`] for the
-/// payload-of-doubles flavour the comm layer uses.
+/// Fold eight message bytes, given as their little-endian halves.
+#[inline]
+fn fold8(c: u32, lo: u32, hi: u32) -> u32 {
+    let t = &CRC_TABLES;
+    let lo = c ^ lo;
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][((lo >> 8) & 0xFF) as usize]
+        ^ t[5][((lo >> 16) & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xFF) as usize]
+        ^ t[2][((hi >> 8) & 0xFF) as usize]
+        ^ t[1][((hi >> 16) & 0xFF) as usize]
+        ^ t[0][(hi >> 24) as usize]
+}
+
+/// CRC-32 (IEEE, reflected) of `bytes` — the same checksum gzip/zip
+/// use. Guarantees detection of any single burst of up to 32 bits,
+/// which covers every single-byte corruption. See [`crc32_f64s`] for
+/// the payload-of-doubles flavour the comm layer uses.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for w in &mut chunks {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = fold8(c, lo, hi);
+    }
+    for &b in chunks.remainder() {
+        c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -48,9 +88,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 pub fn crc32_f64s(values: &[f64]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for v in values {
-        for b in v.to_le_bytes() {
-            c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-        }
+        let bits = v.to_bits();
+        c = fold8(c, bits as u32, (bits >> 32) as u32);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -59,21 +98,58 @@ pub fn crc32_f64s(values: &[f64]) -> u32 {
 mod tests {
     use super::*;
 
+    /// The plain byte-at-a-time loop: the reference the sliced
+    /// implementation must reproduce exactly.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // The classic check value: CRC-32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
     }
 
     #[test]
+    fn sliced_matches_bytewise_on_every_short_length_and_alignment() {
+        // Deterministic pseudo-random bytes (splitmix-style mixing).
+        let bytes: Vec<u8> = (0u64..200)
+            .map(|i| {
+                let z = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                ((z ^ (z >> 29)).wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 56) as u8
+            })
+            .collect();
+        for len in 0..=64 {
+            assert_eq!(
+                crc32(&bytes[..len]),
+                crc32_bytewise(&bytes[..len]),
+                "len {len}"
+            );
+            // Unaligned sub-slices: every start offset within a word.
+            for start in 1..8 {
+                let s = &bytes[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start}, len {len}");
+            }
+        }
+        assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+    }
+
+    #[test]
     fn f64_flavour_matches_byte_flavour() {
-        let values = [1.0f64, -0.0, f64::NAN, 3.5e-120];
+        let values = [1.0f64, -0.0, f64::NAN, 3.5e-120, -7.25e300];
         let mut bytes = Vec::new();
         for v in &values {
             bytes.extend_from_slice(&v.to_le_bytes());
         }
-        assert_eq!(crc32_f64s(&values), crc32(&bytes));
+        for n in 0..=values.len() {
+            assert_eq!(crc32_f64s(&values[..n]), crc32_bytewise(&bytes[..8 * n]));
+        }
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! `restart-matrix` job and uploads the checkpoint it produces as an
 //! artifact.
 //!
+//! The same file pins what the persistent rank team guarantees: a
+//! `run_segment` loop equals `run()` bitwise on every executor, with
+//! and without an Eulerian remap, and sends no message beyond the
+//! per-step halo traffic; ALE checkpoints resume bitwise on the same
+//! shape.
+//!
 //! Alongside the matrix: the committed golden fixture
 //! `tests/fixtures/noh_v1.ckpt` pins the on-disk format (version bumps
 //! must be deliberate), and the failure-path tests pin that malformed
@@ -16,6 +22,7 @@
 
 use std::path::PathBuf;
 
+use bookleaf::ale::{AleMode, AleOptions};
 use bookleaf::core::decks;
 use bookleaf::{
     Checkpoint, CheckpointError, ExecutorKind, ProblemSpec, Simulation, CHECKPOINT_VERSION,
@@ -205,6 +212,143 @@ fn resume_without_overrides_continues_the_embedded_config() {
         resumed.input_deck().unwrap().problem,
         ProblemSpec::Noh { n: 16 }
     ));
+}
+
+// ------------------------------------------------- segments and ALE
+
+/// Steps of the segment and ALE matrix problem (Sedov, 24×24).
+const SEG_STEPS: usize = 24;
+/// Segment length: 5, 5, 5, 5, 4.
+const SEG: usize = 5;
+
+const FLAT2: ExecutorKind = ExecutorKind::FlatMpi { ranks: 2 };
+const HYBRID2X1: ExecutorKind = ExecutorKind::Hybrid {
+    ranks: 2,
+    threads_per_rank: 1,
+};
+
+/// An Eulerian remap after every step, or a pure Lagrangian frame.
+fn remap(eulerian: bool) -> Option<AleOptions> {
+    eulerian.then_some(AleOptions {
+        mode: AleMode::Eulerian,
+        frequency: 1,
+    })
+}
+
+fn sedov_builder(executor: ExecutorKind, eulerian: bool) -> bookleaf::SimulationBuilder {
+    Simulation::builder()
+        .deck(decks::sedov(24))
+        .final_time(1.0)
+        .max_steps(SEG_STEPS)
+        .executor(executor)
+        .ale(remap(eulerian))
+}
+
+/// The bit patterns of the whole solution: cursor, every checkpointed
+/// field and the re-derived pressure and sound speed.
+fn solution_bits(sim: &Simulation) -> Vec<u64> {
+    let (mesh, s) = (sim.mesh(), sim.state());
+    let snap = sim.snapshot().unwrap();
+    let mut bits = vec![snap.time.to_bits(), snap.steps];
+    bits.extend(snap.dt_prev.map(f64::to_bits));
+    for field in [
+        &s.rho,
+        &s.ein,
+        &s.pressure,
+        &s.cs2,
+        &s.mass,
+        &s.q,
+        &s.nd_mass,
+    ] {
+        bits.extend(field.iter().map(|v| v.to_bits()));
+    }
+    bits.extend(s.cnmass.iter().flatten().map(|v| v.to_bits()));
+    for v in s.u.iter().chain(&mesh.nodes) {
+        bits.extend([v.x.to_bits(), v.y.to_bits()]);
+    }
+    bits
+}
+
+fn assert_bitwise(a: &Simulation, b: &Simulation, label: &str) {
+    let (a, b) = (solution_bits(a), solution_bits(b));
+    assert_eq!(a.len(), b.len(), "{label}: solution shapes differ");
+    let diff = a.iter().zip(&b).filter(|(x, y)| x != y).count();
+    assert_eq!(diff, 0, "{label}: {diff} of {} words differ", a.len());
+}
+
+/// A `run_segment` loop reproduces `run()` bitwise on every executor,
+/// in both frames, and its per-segment message counts add up exactly
+/// to the unsegmented run's: 3 messages per link per step Lagrangian,
+/// 4 with the remap, and nothing for re-setup or restore.
+#[test]
+fn segmented_runs_equal_unsegmented_runs_bitwise_with_no_extra_traffic() {
+    for executor in [ExecutorKind::Serial, FLAT2, HYBRID2X1] {
+        for eulerian in [false, true] {
+            let label = format!("{executor:?}, eulerian {eulerian}");
+            let mut whole = sedov_builder(executor, eulerian).build().unwrap();
+            let report = whole.run().unwrap();
+            assert_eq!(report.steps, SEG_STEPS, "{label}");
+
+            let mut segmented = sedov_builder(executor, eulerian).build().unwrap();
+            let mut messages = 0;
+            let mut segments = 0;
+            while !segmented.complete() {
+                messages += segmented.run_segment(SEG).unwrap().comm.messages_sent;
+                segments += 1;
+            }
+            assert_eq!(segments, SEG_STEPS.div_ceil(SEG), "{label}");
+            assert_bitwise(&whole, &segmented, &label);
+
+            // Two ranks, one neighbour each: two directed links.
+            let per_link_step = match (executor, eulerian) {
+                (ExecutorKind::Serial, _) => 0,
+                (_, false) => 3,
+                (_, true) => 4,
+            };
+            let expect = per_link_step * 2 * SEG_STEPS as u64;
+            assert_eq!(report.comm.messages_sent, expect, "{label}: unsegmented");
+            assert_eq!(messages, expect, "{label}: segments");
+        }
+    }
+}
+
+/// Run the Sedov ALE problem to the matrix midpoint on `from`,
+/// checkpoint through bytes, and finish on `to`.
+fn ale_resume(from: ExecutorKind, to: ExecutorKind) -> Simulation {
+    let mut first = sedov_builder(from, true)
+        .max_steps(SEG_STEPS / 2)
+        .build()
+        .unwrap();
+    first.run().unwrap();
+    let bytes = first.checkpoint().unwrap().to_bytes();
+    let mut resumed = Simulation::builder()
+        .resume_from(Checkpoint::from_bytes(&bytes).unwrap())
+        .executor(to)
+        .max_steps(SEG_STEPS)
+        .build()
+        .unwrap();
+    assert_eq!(resumed.run().unwrap().steps, SEG_STEPS);
+    resumed
+}
+
+/// An ALE step leaves the state a pure function of the checkpointed
+/// fields (pressure and sound speed are re-derived after the remap), so
+/// ALE checkpoints resume bitwise on the same shape and to 1e-12
+/// across shapes.
+#[test]
+fn ale_checkpoints_resume_bitwise_on_the_same_shape() {
+    let mut serial = sedov_builder(ExecutorKind::Serial, true).build().unwrap();
+    serial.run().unwrap();
+    let resumed = ale_resume(ExecutorKind::Serial, ExecutorKind::Serial);
+    assert_bitwise(&serial, &resumed, "serial -> serial");
+
+    let mut flat = sedov_builder(FLAT2, true).build().unwrap();
+    flat.run().unwrap();
+    let resumed = ale_resume(FLAT2, FLAT2);
+    assert_bitwise(&flat, &resumed, "flat-MPI 2 -> flat-MPI 2");
+
+    let resumed = ale_resume(ExecutorKind::Serial, FLAT2);
+    assert_matches(&serial, &resumed, TOL, "serial -> flat-MPI 2");
 }
 
 // ------------------------------------------------------------- fixture

@@ -216,10 +216,11 @@ fn deck_file_reproduces_the_programmatic_sod_deck_exactly() {
 
 #[test]
 fn rerunning_a_distributed_simulation_restarts_observer_records() {
-    // Distributed simulations re-execute the whole problem on every
-    // run(); the shipped recorders must start a fresh trace instead of
-    // interleaving two runs' samples, and the frame dumper must write a
-    // fresh series rather than deduplicating everything away.
+    // A finished distributed simulation keeps its cursor: a second
+    // run() continues from the end and takes no steps. The
+    // shipped recorders must keep one trace without duplicating the
+    // resume point, and the frame dumper must keep its one series
+    // (rewriting the resume frame in place).
     use bookleaf::FrameDumper;
     let dir = std::env::temp_dir().join("bookleaf_rerun_frames");
     let dumper = Shared::new(FrameDumper::new(&dir, "rerun", 1000));
